@@ -164,7 +164,7 @@ main(int argc, char **argv)
     // Per-VM billing, checkpointable: each bill is a pure function
     // of its trial index, so a killed run resumes at the last
     // committed chunk and reproduces the same bills byte for byte.
-    std::uint64_t config_hash = resilience::kFnvOffset;
+    std::uint64_t config_hash = resilience::kChecksumBasis;
     config_hash = resilience::hashField(
         config_hash, static_cast<std::uint64_t>(seed));
     config_hash = resilience::hashField(config_hash,

@@ -5,11 +5,13 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <system_error>
 
 #include "cache/compr_api.hh"
 #include "common/obs.hh"
+#include "common/parallel.hh"
 #include "resilience/checkpoint.hh"
 
 namespace fairco2::durability
@@ -26,6 +28,9 @@ constexpr char kMagic[4] = {'F', 'C', '2', 'W'};
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
 /** Frame header: raw_bytes + stored_bytes + codec. */
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 1;
+/** Covered periods per chunk of the parallel scrub derive: a few
+ *  hundred microseconds of materialization each. */
+constexpr std::size_t kDeriveChunk = 2048;
 /** A record frame can never legitimately exceed this — anything
  *  larger is framing damage, not data. */
 constexpr std::uint32_t kMaxRecordBytes = 1u << 28;
@@ -193,36 +198,39 @@ frameBytes(const WalTickRecord &record, cache::Codec codec,
 /** Outcome of parsing one segment's record region. */
 struct SegmentParse
 {
+    /** Valid frames (checksum verified), decoded or not. */
+    std::uint64_t frames = 0;
+    /** The decoded records: frames inside the requested range. */
     std::vector<WalTickRecord> records;
     /** Set when the record region ended early (torn frame); names
      *  the damage for the tail-drop diagnostic. */
     std::string damage;
-    std::size_t damageOffset = 0;
 };
 
 /**
- * Parse records from @p bytes starting after the header. Stops at
- * the first damaged frame and reports it; the caller decides whether
- * that is an error (sealed) or a drop point (tail).
+ * Parse the frames of @p bytes after the header, the first of which
+ * is record @p first_record. Every frame's checksum is verified;
+ * only records inside @p range are decoded. Stops at the first
+ * damaged frame and reports it; the caller decides whether that is
+ * an error (sealed) or a drop point (tail).
  */
 SegmentParse
 parseRecords(const std::vector<std::uint8_t> &bytes,
-             std::uint64_t first_record)
+             std::uint64_t first_record, const WalRange &range)
 {
     SegmentParse out;
     std::size_t pos = kHeaderBytes;
     while (pos < bytes.size()) {
         const std::size_t frame_start = pos;
+        const std::uint64_t index = first_record + out.frames;
         const auto damaged = [&](const std::string &why) {
-            out.damage = "record " +
-                std::to_string(first_record + out.records.size()) +
+            out.damage = "record " + std::to_string(index) +
                 " at offset " + std::to_string(frame_start) + ": " +
                 why;
-            out.damageOffset = frame_start;
         };
         if (bytes.size() - pos < kFrameHeaderBytes) {
             damaged("truncated frame header");
-            return out;
+            break;
         }
         ByteReader head{bytes.data(), bytes.size(), pos};
         const std::uint32_t raw_size = head.u32();
@@ -231,17 +239,17 @@ parseRecords(const std::vector<std::uint8_t> &bytes,
         if (raw_size > kMaxRecordBytes ||
             stored_size > kMaxRecordBytes) {
             damaged("implausible frame size");
-            return out;
+            break;
         }
         if (codec_id > static_cast<std::uint8_t>(cache::Codec::Lz)) {
             damaged("unknown codec id " + std::to_string(codec_id));
-            return out;
+            break;
         }
         const std::size_t frame_size =
             kFrameHeaderBytes + stored_size + 8;
         if (bytes.size() - frame_start < frame_size) {
             damaged("truncated frame payload");
-            return out;
+            break;
         }
         const std::uint64_t want = fnv1a64(
             bytes.data() + frame_start, frame_size - 8);
@@ -249,38 +257,51 @@ parseRecords(const std::vector<std::uint8_t> &bytes,
                        frame_start + frame_size - 8};
         if (sum.u64() != want) {
             damaged("checksum mismatch");
-            return out;
+            break;
         }
-        std::vector<std::uint8_t> raw;
-        try {
-            raw = decodeBlob(static_cast<cache::Codec>(codec_id),
-                             bytes.data() + frame_start +
-                                 kFrameHeaderBytes,
-                             stored_size, raw_size);
-            out.records.push_back(decodeRecord(raw));
-        } catch (const std::exception &error) {
-            // Checksummed-but-undecodable means real corruption that
-            // happened before the checksum was computed — surface it
-            // the same way so it is never replayed as data.
-            damaged(std::string("undecodable payload: ") +
-                    error.what());
-            return out;
+        if (index >= range.first && index < range.end) {
+            try {
+                out.records.push_back(decodeRecord(decodeBlob(
+                    static_cast<cache::Codec>(codec_id),
+                    bytes.data() + frame_start + kFrameHeaderBytes,
+                    stored_size, raw_size)));
+            } catch (const std::exception &error) {
+                // Checksummed-but-undecodable means real corruption
+                // that happened before the checksum was computed —
+                // surface it the same way so it is never replayed as
+                // data.
+                damaged(std::string("undecodable payload: ") +
+                        error.what());
+                break;
+            }
         }
+        ++out.frames;
         pos = frame_start + frame_size;
     }
+    FAIRCO2_COUNT("durability.wal.records_decoded",
+                  out.records.size());
     return out;
 }
 
+/** Read at most @p limit bytes of @p path (the whole file by
+ *  default). */
 std::vector<std::uint8_t>
-readFileBytes(const std::string &path)
+readFileBytes(const std::string &path,
+              std::size_t limit = std::numeric_limits<std::size_t>::max())
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         throw WalIntegrityError("cannot open wal segment '" + path +
                                 "'");
-    return std::vector<std::uint8_t>(
-        std::istreambuf_iterator<char>(in),
-        std::istreambuf_iterator<char>());
+    const auto size = static_cast<std::size_t>(in.tellg());
+    std::vector<std::uint8_t> bytes(std::min(size, limit));
+    in.seekg(0);
+    in.read(reinterpret_cast<char *>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    if (!in)
+        throw WalIntegrityError("cannot read wal segment '" + path +
+                                "'");
+    return bytes;
 }
 
 /** Validate a segment header; throws naming the defect. */
@@ -308,6 +329,131 @@ checkHeader(const std::vector<std::uint8_t> &bytes,
             "' was written by a different server configuration "
             "(config hash mismatch)");
     return in.u64(); // first record index
+}
+
+/** Write @p bytes to @p file; a short write throws naming @p path. */
+void
+writeChecked(std::FILE *file, const std::vector<std::uint8_t> &bytes,
+             const std::string &path)
+{
+    if (std::fwrite(bytes.data(), 1, bytes.size(), file) !=
+        bytes.size())
+        throw WalIntegrityError("cannot write wal segment '" + path +
+                                "': " + std::strerror(errno));
+}
+
+/** Flush @p file; a failure throws naming @p path. */
+void
+flushChecked(std::FILE *file, const std::string &path)
+{
+    if (std::fflush(file) != 0)
+        throw WalIntegrityError("cannot flush wal segment '" + path +
+                                "': " + std::strerror(errno));
+}
+
+/** Flush and close @p file; a failure throws naming @p path. The
+ *  handle is closed either way. */
+void
+closeChecked(std::FILE *file, const std::string &path)
+{
+    const bool flushed = std::fflush(file) == 0;
+    const int flush_errno = errno;
+    const bool closed = std::fclose(file) == 0;
+    if (!flushed || !closed)
+        throw WalIntegrityError(
+            "cannot close wal segment '" + path + "': " +
+            std::strerror(flushed ? errno : flush_errno));
+}
+
+/** One segment file as the directory walk found it. */
+struct SegmentFile
+{
+    std::string path;
+    bool sealed = true;
+    std::uint64_t firstRecord = 0; //!< from its header
+};
+
+/**
+ * List @p dir's segments in log order (sealed by index, then the
+ * tail) with every header checked, and check the directory's shape:
+ * sealed indices 1, 2, ... without a gap, at most one tail with the
+ * next index, and first-record indices that start at 0 and strictly
+ * increase (a sealed segment holds at least one record).
+ */
+std::vector<SegmentFile>
+listSegments(const std::string &dir, std::uint64_t config_hash,
+             std::uint64_t *next_segment_index)
+{
+    if (!fs::is_directory(dir))
+        throw WalIntegrityError("wal directory '" + dir +
+                                "' does not exist");
+
+    std::map<std::uint64_t, std::string> sealed;
+    std::map<std::uint64_t, std::string> open;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("wal-", 0) != 0)
+            continue;
+        const auto dot = name.find('.');
+        if (dot == std::string::npos)
+            continue;
+        const std::string suffix = name.substr(dot + 1);
+        std::uint64_t index = 0;
+        try {
+            index = std::stoull(name.substr(4, dot - 4));
+        } catch (const std::exception &) {
+            continue;
+        }
+        if (suffix == "seg")
+            sealed[index] = entry.path().string();
+        else if (suffix == "open")
+            open[index] = entry.path().string();
+    }
+    if (open.size() > 1)
+        throw WalIntegrityError(
+            "wal directory '" + dir + "' has " +
+            std::to_string(open.size()) +
+            " open tail segments; expected at most one");
+
+    std::vector<SegmentFile> segments;
+    std::uint64_t expect_index = 1;
+    for (const auto &[index, path] : sealed) {
+        if (index != expect_index)
+            throw WalIntegrityError(
+                "wal directory '" + dir + "' skips from segment " +
+                std::to_string(expect_index - 1) + " to " +
+                std::to_string(index) + " (missing sealed segment)");
+        segments.push_back({path, true, 0});
+        ++expect_index;
+    }
+    *next_segment_index = expect_index;
+    if (!open.empty()) {
+        const auto &[index, path] = *open.begin();
+        if (index != expect_index)
+            throw WalIntegrityError(
+                "wal tail segment '" + path + "' has index " +
+                std::to_string(index) + ", expected " +
+                std::to_string(expect_index));
+        segments.push_back({path, false, 0});
+    }
+
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+        SegmentFile &segment = segments[i];
+        segment.firstRecord = checkHeader(
+            readFileBytes(segment.path, kHeaderBytes), segment.path,
+            config_hash);
+        const std::uint64_t least =
+            i == 0 ? 0 : segments[i - 1].firstRecord + 1;
+        if (i == 0 ? segment.firstRecord != 0
+                   : segment.firstRecord < least)
+            throw WalIntegrityError(
+                std::string(segment.sealed ? "wal segment '"
+                                           : "wal tail segment '") +
+                segment.path + "' starts at record " +
+                std::to_string(segment.firstRecord) + ", expected " +
+                (i == 0 ? "0" : "at least " + std::to_string(least)));
+    }
+    return segments;
 }
 
 } // namespace
@@ -422,112 +568,73 @@ walDirError(const std::string &dir)
 }
 
 WalLoadResult
-loadWal(const std::string &dir, std::uint64_t config_hash)
+loadWalRange(const std::string &dir, std::uint64_t config_hash,
+             const WalRange &range)
 {
-    if (!fs::is_directory(dir))
-        throw WalIntegrityError("wal directory '" + dir +
-                                "' does not exist");
-
-    std::map<std::uint64_t, std::string> sealed;
-    std::map<std::uint64_t, std::string> open;
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("wal-", 0) != 0)
-            continue;
-        const auto dot = name.find('.');
-        if (dot == std::string::npos)
-            continue;
-        const std::string suffix = name.substr(dot + 1);
-        std::uint64_t index = 0;
-        try {
-            index = std::stoull(name.substr(4, dot - 4));
-        } catch (const std::exception &) {
-            continue;
-        }
-        if (suffix == "seg")
-            sealed[index] = entry.path().string();
-        else if (suffix == "open")
-            open[index] = entry.path().string();
-    }
-    if (open.size() > 1)
-        throw WalIntegrityError(
-            "wal directory '" + dir + "' has " +
-            std::to_string(open.size()) +
-            " open tail segments; expected at most one");
-
     WalLoadResult result;
-    std::uint64_t expect_index = 1;
-    for (const auto &[index, path] : sealed) {
-        if (index != expect_index)
-            throw WalIntegrityError(
-                "wal directory '" + dir + "' skips from segment " +
-                std::to_string(expect_index - 1) + " to " +
-                std::to_string(index) + " (missing sealed segment)");
-        const auto bytes = readFileBytes(path);
-        const std::uint64_t first =
-            checkHeader(bytes, path, config_hash);
-        if (first != result.records.size())
-            throw WalIntegrityError(
-                "wal segment '" + path + "' starts at record " +
-                std::to_string(first) + ", expected " +
-                std::to_string(result.records.size()));
-        SegmentParse parse = parseRecords(bytes, first);
-        if (!parse.damage.empty())
-            throw WalIntegrityError("sealed wal segment '" + path +
-                                    "' is damaged: " + parse.damage);
-        if (parse.records.empty())
-            throw WalIntegrityError("sealed wal segment '" + path +
-                                    "' holds no records");
-        for (auto &record : parse.records)
-            result.records.push_back(std::move(record));
-        ++result.sealedSegments;
-        ++expect_index;
-    }
-
-    result.nextSegmentIndex = expect_index;
-    if (!open.empty()) {
-        const auto &[index, path] = *open.begin();
-        if (index != expect_index)
-            throw WalIntegrityError(
-                "wal tail segment '" + path + "' has index " +
-                std::to_string(index) + ", expected " +
-                std::to_string(expect_index));
-        const auto bytes = readFileBytes(path);
-        const std::uint64_t first =
-            checkHeader(bytes, path, config_hash);
-        if (first != result.records.size())
-            throw WalIntegrityError(
-                "wal tail segment '" + path +
-                "' starts at record " + std::to_string(first) +
-                ", expected " +
-                std::to_string(result.records.size()));
-        SegmentParse parse = parseRecords(bytes, first);
-        // The tail is the only place damage is survivable: keep the
-        // valid prefix, drop the torn suffix, and say so.
-        if (!parse.damage.empty()) {
-            result.droppedTail = true;
-            result.tailDiagnostic = "dropped torn wal tail of '" +
-                path + "' from " + parse.damage;
+    const std::vector<SegmentFile> segments =
+        listSegments(dir, config_hash, &result.nextSegmentIndex);
+    // Record count so far of the segments actually read; a read
+    // segment must start exactly where the one before it ended.
+    bool have_prev = false;
+    std::uint64_t prev_end = 0;
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+        const SegmentFile &segment = segments[i];
+        if (segment.sealed)
+            ++result.sealedSegments;
+        else if (!range.tail)
+            break;
+        // A segment ends where the next one starts (the tail never
+        // ends); read only those that overlap the range.
+        const bool last = i + 1 == segments.size();
+        if (segment.firstRecord >= range.end ||
+            (!last && segments[i + 1].firstRecord <= range.first)) {
+            have_prev = false;
+            continue;
         }
-        result.tailRecords = parse.records.size();
+        if (have_prev && segment.firstRecord != prev_end)
+            throw WalIntegrityError(
+                std::string(segment.sealed ? "wal segment '"
+                                           : "wal tail segment '") +
+                segment.path + "' starts at record " +
+                std::to_string(segment.firstRecord) + ", expected " +
+                std::to_string(prev_end));
+        const auto bytes = readFileBytes(segment.path);
+        checkHeader(bytes, segment.path, config_hash);
+        SegmentParse parse =
+            parseRecords(bytes, segment.firstRecord, range);
+        if (segment.sealed) {
+            if (!parse.damage.empty())
+                throw WalIntegrityError("sealed wal segment '" +
+                                        segment.path +
+                                        "' is damaged: " +
+                                        parse.damage);
+            if (parse.frames == 0)
+                throw WalIntegrityError("sealed wal segment '" +
+                                        segment.path +
+                                        "' holds no records");
+        } else {
+            // The tail is the only place damage is survivable: keep
+            // the valid prefix, drop the torn suffix, and say so.
+            if (!parse.damage.empty()) {
+                result.droppedTail = true;
+                result.tailDiagnostic = "dropped torn wal tail of '" +
+                    segment.path + "' from " + parse.damage;
+            }
+            result.tailRecords = parse.frames;
+        }
         for (auto &record : parse.records)
             result.records.push_back(std::move(record));
+        have_prev = true;
+        prev_end = segment.firstRecord + parse.frames;
     }
     return result;
 }
 
-std::vector<WalTickRecord>
-loadSealedSegment(const std::string &dir, std::uint64_t index,
-                  std::uint64_t config_hash)
+WalLoadResult
+loadWal(const std::string &dir, std::uint64_t config_hash)
 {
-    const std::string path = segmentPath(dir, index, true);
-    const auto bytes = readFileBytes(path);
-    const std::uint64_t first = checkHeader(bytes, path, config_hash);
-    SegmentParse parse = parseRecords(bytes, first);
-    if (!parse.damage.empty())
-        throw WalIntegrityError("sealed wal segment '" + path +
-                                "' is damaged: " + parse.damage);
-    return std::move(parse.records);
+    return loadWalRange(dir, config_hash, WalRange{});
 }
 
 WalWriter::WalWriter(const Options &options) : options_(options)
@@ -558,8 +665,8 @@ WalWriter::openSegment()
         throw WalIntegrityError("cannot create wal segment '" +
                                 path + "': " +
                                 std::strerror(errno));
-    const auto header = headerBytes(options_.configHash, records_);
-    std::fwrite(header.data(), 1, header.size(), file_);
+    writeChecked(file_, headerBytes(options_.configHash, records_),
+                 path);
     segmentRecords_ = 0;
 }
 
@@ -570,13 +677,17 @@ WalWriter::writeFrame(const WalTickRecord &record, bool torn)
         openSegment();
     std::uint64_t raw = 0;
     const auto frame = frameBytes(record, options_.codec, &raw);
-    const std::size_t n = torn ? frame.size() / 2 : frame.size();
-    std::fwrite(frame.data(), 1, n, file_);
+    if (torn) {
+        std::fwrite(frame.data(), 1, frame.size() / 2, file_);
+        std::fflush(file_);
+        return;
+    }
+    const std::string path =
+        segmentPath(options_.dir, segmentIndex_, false);
+    writeChecked(file_, frame, path);
     // The group commit: one flush per arrival tick, so a kill after
     // this point can only lose ticks that never returned.
-    std::fflush(file_);
-    if (torn)
-        return;
+    flushChecked(file_, path);
     rawBytes_ += raw;
     storedBytes_ += frame.size();
     ++records_;
@@ -603,11 +714,11 @@ WalWriter::seal()
 {
     if (file_ == nullptr || segmentRecords_ == 0)
         return;
-    std::fflush(file_);
-    std::fclose(file_);
-    file_ = nullptr;
     const std::string open_path =
         segmentPath(options_.dir, segmentIndex_, false);
+    std::FILE *file = file_;
+    file_ = nullptr;
+    closeChecked(file, open_path);
     const std::string sealed_path =
         segmentPath(options_.dir, segmentIndex_, true);
     // The atomic seal: readers only ever see a complete .seg.
@@ -639,17 +750,22 @@ WalWriter::adoptTail(const std::vector<WalTickRecord> &records)
         throw WalIntegrityError("cannot rewrite wal tail '" +
                                 open_path + "': " +
                                 std::strerror(errno));
-    const auto header = headerBytes(options_.configHash, records_);
-    std::fwrite(header.data(), 1, header.size(), tmp);
-    for (const WalTickRecord &record : records) {
-        std::uint64_t raw = 0;
-        const auto frame = frameBytes(record, options_.codec, &raw);
-        std::fwrite(frame.data(), 1, frame.size(), tmp);
-        rawBytes_ += raw;
-        storedBytes_ += frame.size();
+    try {
+        writeChecked(tmp, headerBytes(options_.configHash, records_),
+                     tmp_path);
+        for (const WalTickRecord &record : records) {
+            std::uint64_t raw = 0;
+            const auto frame =
+                frameBytes(record, options_.codec, &raw);
+            writeChecked(tmp, frame, tmp_path);
+            rawBytes_ += raw;
+            storedBytes_ += frame.size();
+        }
+    } catch (...) {
+        std::fclose(tmp);
+        throw;
     }
-    std::fflush(tmp);
-    std::fclose(tmp);
+    closeChecked(tmp, tmp_path);
     std::error_code ec;
     fs::rename(tmp_path, open_path, ec);
     if (ec)
@@ -697,34 +813,78 @@ deriveWindowDigests(
         std::min<std::uint64_t>(window_periods, closed);
     const std::uint64_t first_closed = closed - window;
 
-    // Accumulate per-period unit sums for the in-window closed
-    // periods only — the exact quantities the live replicas keep in
-    // their windowUnitSums deques.
-    std::vector<std::uint64_t> fleet(window, 0);
-    std::vector<std::vector<std::uint64_t>> shard_sums(
-        shards, std::vector<std::uint64_t>(window, 0));
+    // The in-window closed periods each admitted batch covers — the
+    // exact quantities the live replicas keep in their windowUnitSums
+    // deques.
+    struct Covered
+    {
+        std::uint64_t tenant;
+        std::uint64_t slot;
+    };
+    std::vector<Covered> work;
     for (const WalTickRecord &record : records) {
         for (const WalBatch &batch : record.admitted) {
             for (std::uint32_t p = 0; p < batch.coveredPeriods;
                  ++p) {
                 const std::uint64_t covered =
                     batch.period - batch.coveredPeriods + p;
-                if (covered < first_closed ||
-                    covered >= first_closed + window)
-                    continue;
-                const std::uint64_t units =
-                    unitsOf(batch.tenant, covered);
-                const std::uint64_t slot = covered - first_closed;
-                fleet[slot] += units;
-                shard_sums[batch.tenant % shards][slot] += units;
+                if (covered >= first_closed &&
+                    covered < first_closed + window)
+                    work.push_back({batch.tenant,
+                                    covered - first_closed});
             }
         }
     }
+
+    // Per-shard sums, one row of window slots per shard, accumulated
+    // over fixed chunks of the work list on the pool. The partials
+    // are integers, so folding them is exact at any thread count.
+    using Sums = std::vector<std::uint64_t>;
+    const Sums shard_sums = parallel::parallelMapReduce(
+        0, work.size(), kDeriveChunk, Sums(shards * window, 0),
+        [&](std::size_t lo, std::size_t hi) {
+            Sums part(shards * window, 0);
+            for (std::size_t i = lo; i < hi; ++i) {
+                const Covered &c = work[i];
+                part[(c.tenant % shards) * window + c.slot] +=
+                    unitsOf(c.tenant, first_closed + c.slot);
+            }
+            return part;
+        },
+        [](Sums &acc, const Sums &part) {
+            for (std::size_t i = 0; i < acc.size(); ++i)
+                acc[i] += part[i];
+        });
+    std::vector<std::uint64_t> fleet(window, 0);
+    for (std::size_t s = 0; s < shards; ++s)
+        for (std::uint64_t slot = 0; slot < window; ++slot)
+            fleet[slot] += shard_sums[s * window + slot];
     out.fleet = windowSumDigest(closed, fleet);
     out.shard.assign(shards, 0);
     for (std::size_t s = 0; s < shards; ++s)
-        out.shard[s] = windowSumDigest(closed, shard_sums[s]);
+        out.shard[s] = windowSumDigest(
+            closed, Sums(shard_sums.begin() + s * window,
+                         shard_sums.begin() + (s + 1) * window));
     return out;
+}
+
+WindowDigests
+scrubWindowDigests(
+    const std::string &dir, std::uint64_t config_hash,
+    std::uint64_t period, std::size_t shards,
+    std::size_t window_periods, std::uint64_t watermark,
+    const std::function<std::uint64_t(std::uint64_t tenant,
+                                      std::uint64_t period)> &unitsOf)
+{
+    // A batch covers periods below its record's, so records older
+    // than the window plus the watermark cannot reach a window period.
+    const std::uint64_t reach = window_periods + watermark + 1;
+    WalRange range;
+    range.first = period + 1 > reach ? period + 1 - reach : 0;
+    range.end = period + 1;
+    return deriveWindowDigests(
+        loadWalRange(dir, config_hash, range).records, shards,
+        window_periods, watermark, unitsOf);
 }
 
 } // namespace fairco2::durability

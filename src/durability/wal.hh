@@ -27,7 +27,10 @@
  *     stored_bytes u32   bytes on disk (== raw_bytes for identity)
  *     codec        u8    cache::Codec id (identity | lz)
  *     payload      stored_bytes
- *     checksum     u64   FNV-1a over the frame header + payload
+ *     checksum     u64   resilience::fnv1a64 over the frame header +
+ *                        payload, seeded with the non-standard
+ *                        resilience::kChecksumBasis (not the FNV-1a
+ *                        offset basis; see there)
  *
  * When a segment reaches its record capacity it is *sealed*: the
  * file is flushed and atomically renamed `.open` -> `.seg` (the same
@@ -45,6 +48,16 @@
  * first bad checksum on, reporting a named diagnostic. Either way a
  * flipped byte surfaces as an error or a dropped suffix — never as a
  * wrong replayed value.
+ *
+ * ## Range reads
+ *
+ * The standby and the scrub need only a suffix of the log, so the
+ * loader reads a record range (loadWalRange): it checks the header
+ * of every segment (magic, version, config hash, segment index and
+ * first-record order), reads and checksums only the segments that
+ * overlap the range, and decodes only the records inside it. A full
+ * load (loadWal, which `--recover` uses) is the range from record 0
+ * and so verifies all history.
  */
 
 #ifndef FAIRCO2_DURABILITY_WAL_HH
@@ -53,6 +66,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -139,9 +153,13 @@ WalTickRecord decodeRecord(const std::vector<std::uint8_t> &bytes);
 /** What loading a WAL directory produced. */
 struct WalLoadResult
 {
+    /** The loaded records, in log order: record i is the log's
+     *  record WalRange::first + i. */
     std::vector<WalTickRecord> records;
     std::uint64_t sealedSegments = 0;
-    std::uint64_t tailRecords = 0;  //!< valid records in the .open tail
+    /** Valid records in the `.open` tail (0 when the tail was not
+     *  read). */
+    std::uint64_t tailRecords = 0;
     bool droppedTail = false;       //!< torn/corrupt tail suffix dropped
     std::string tailDiagnostic;     //!< names the segment + record
     /** Index the next segment should use (the tail's index when a
@@ -149,21 +167,36 @@ struct WalLoadResult
     std::uint64_t nextSegmentIndex = 1;
 };
 
+/** The records a range read loads: global record indices
+ *  [first, end), and whether the `.open` tail is read at all. */
+struct WalRange
+{
+    std::uint64_t first = 0;
+    std::uint64_t end = std::numeric_limits<std::uint64_t>::max();
+    bool tail = true;
+};
+
+/**
+ * Load the records of @p range from @p dir. Every segment's header is
+ * checked; segments that overlap the range are read whole and every
+ * frame's checksum is verified, but only records inside the range are
+ * decoded (counted by the `durability.wal.records_decoded` counter).
+ * Sealed-segment damage in a segment read throws WalIntegrityError;
+ * tail damage truncates at the first bad record and reports the drop
+ * in the result. Records older than the first overlapping segment are
+ * not verified — only a load from record 0 verifies all history.
+ */
+WalLoadResult loadWalRange(const std::string &dir,
+                           std::uint64_t config_hash,
+                           const WalRange &range);
+
 /**
  * Load every record from @p dir: sealed segments in index order,
- * then the `.open` tail. Sealed-segment damage throws
- * WalIntegrityError; tail damage truncates at the first bad record
- * and reports the drop in the result. An empty directory returns
- * zero records.
+ * then the `.open` tail — loadWalRange over the whole log. An empty
+ * directory returns zero records.
  */
 WalLoadResult loadWal(const std::string &dir,
                       std::uint64_t config_hash);
-
-/** Load one sealed segment (standby shipping path). Throws
- *  WalIntegrityError on any damage. */
-std::vector<WalTickRecord> loadSealedSegment(const std::string &dir,
-                                             std::uint64_t index,
-                                             std::uint64_t config_hash);
 
 /** Path of segment @p index inside @p dir ("wal-%06llu" + suffix). */
 std::string segmentPath(const std::string &dir, std::uint64_t index,
@@ -178,7 +211,10 @@ std::string segmentPath(const std::string &dir, std::uint64_t index,
 std::string walDirError(const std::string &dir);
 
 /** Group-commit segment writer. Not thread-safe by design — appends
- *  happen inside the single-threaded event loop's arrival tick. */
+ *  happen inside the single-threaded event loop's arrival tick. Every
+ *  write, flush and close is checked: a short write or a failed flush
+ *  or close (a full disk, an I/O error) throws WalIntegrityError
+ *  naming the segment and the system error. */
 class WalWriter
 {
   public:
@@ -271,9 +307,36 @@ struct WindowDigests
  * `lastPeriod - watermark`, and digest the last @p windowPeriods
  * closed sums. Matches server::Replica::windowDigests() on an
  * uncorrupted run by construction.
+ *
+ * Only the window's records are needed: a batch covers periods below
+ * its own period, which is at most its record's, so records with
+ * period <= lastPeriod - watermark - windowPeriods + 1 contribute
+ * nothing, and a log suffix that ends at the same record gives the
+ * same digests as the whole log. The unit sums are split into fixed
+ * chunks of covered periods across parallel::parallelMapReduce, so
+ * @p unitsOf is called concurrently from pool threads and must be
+ * safe to; the integer sums make the result exact at any thread
+ * count.
  */
 WindowDigests deriveWindowDigests(
     const std::vector<WalTickRecord> &records, std::size_t shards,
+    std::size_t window_periods, std::uint64_t watermark,
+    const std::function<std::uint64_t(std::uint64_t tenant,
+                                      std::uint64_t period)> &unitsOf);
+
+/**
+ * The anti-entropy scrub's side of the comparison at arrival period
+ * @p period: range-read the records that can reach the window —
+ * periods [period + 1 - (windowPeriods + watermark + 1), period],
+ * record i being period i's arrival tick — from @p dir and derive
+ * their digests. Equals deriveWindowDigests over the whole log cut
+ * after record @p period, also while the log runs past the period
+ * (recovery). Damage to a sealed segment the range reads throws
+ * WalIntegrityError.
+ */
+WindowDigests scrubWindowDigests(
+    const std::string &dir, std::uint64_t config_hash,
+    std::uint64_t period, std::size_t shards,
     std::size_t window_periods, std::uint64_t watermark,
     const std::function<std::uint64_t(std::uint64_t tenant,
                                       std::uint64_t period)> &unitsOf);

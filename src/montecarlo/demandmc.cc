@@ -165,7 +165,7 @@ std::uint64_t
 demandConfigHash(const DemandMcConfig &config)
 {
     using resilience::hashField;
-    std::uint64_t h = resilience::kFnvOffset;
+    std::uint64_t h = resilience::kChecksumBasis;
     h = hashField(h, static_cast<std::uint64_t>(config.trials));
     h = hashField(h, static_cast<std::uint64_t>(config.maxWorkloads));
     h = hashField(h,

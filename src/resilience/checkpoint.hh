@@ -77,13 +77,21 @@ constexpr std::uint32_t kCheckpointVersion = 1;
 /** Compressed-payload checkpoint format version. */
 constexpr std::uint32_t kCheckpointVersionCompressed = 2;
 
-/** FNV-1a 64-bit offset basis / prime, shared by hash helpers. */
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+/**
+ * Default basis of fnv1a64, shared by every checksum and config hash
+ * it seeds (WAL frames, checkpoints, run fingerprints). It is NOT the
+ * standard FNV-1a 64-bit offset basis (14695981039346656037): it is
+ * one digit short of it. The files already written are checksummed
+ * with this value, so it stays; only the name says what it is.
+ */
+constexpr std::uint64_t kChecksumBasis = 1469598103934665603ULL;
+/** The standard FNV-1a 64-bit prime. */
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
-/** FNV-1a over a byte range, chainable via @p hash. */
+/** FNV-1a steps over a byte range, chainable via @p hash (seeded by
+ *  default with the non-standard kChecksumBasis). */
 std::uint64_t fnv1a64(const void *data, std::size_t size,
-                      std::uint64_t hash = kFnvOffset);
+                      std::uint64_t hash = kChecksumBasis);
 
 /** Fold one integer field into a config hash. */
 std::uint64_t hashField(std::uint64_t hash, std::uint64_t value);

@@ -215,16 +215,18 @@ SignalServer::replayIntoStandby(
 void
 SignalServer::syncStandbyFromDisk(bool sealed_only)
 {
-    const durability::WalLoadResult load =
-        durability::loadWal(config_.durability.walDir, configHash_);
-    std::size_t limit = load.records.size();
-    if (sealed_only)
-        limit -= static_cast<std::size_t>(load.tailRecords);
-    // Never replay past the primary: during recovery the log already
-    // holds ticks the primary has not re-driven yet.
-    limit = std::min<std::size_t>(limit, primaryRecords_);
-    for (std::size_t i = standbyConsumed_; i < limit; ++i)
-        replayIntoStandby(load.records[i]);
+    FAIRCO2_TIME_NS("durability.standby.sync_ns");
+    // Read only what the standby has not replayed yet, and never past
+    // the primary: during recovery the log already holds ticks the
+    // primary has not re-driven yet.
+    durability::WalRange range;
+    range.first = standbyConsumed_;
+    range.end = primaryRecords_;
+    range.tail = !sealed_only;
+    const durability::WalLoadResult load = durability::loadWalRange(
+        config_.durability.walDir, configHash_, range);
+    for (const durability::WalTickRecord &record : load.records)
+        replayIntoStandby(record);
 }
 
 void
@@ -327,18 +329,15 @@ SignalServer::handleClose(std::uint64_t period)
 void
 SignalServer::runScrub(std::uint64_t period)
 {
+    FAIRCO2_TIME_NS("durability.scrub_ns");
     // Anti-entropy: re-derive the window digests purely from the log
     // on disk and compare them to the serving replica's live state.
-    durability::WalLoadResult load =
-        durability::loadWal(config_.durability.walDir, configHash_);
-    // During recovery the log extends past the loop's progress; only
-    // ticks up to this period have been applied.
-    if (load.records.size() > period + 1)
-        load.records.resize(period + 1);
+    // The scrub reads only the records up to this period: during
+    // recovery the log extends past the loop's progress.
     const durability::WindowDigests derived =
-        durability::deriveWindowDigests(
-            load.records, config_.shards, config_.windowPeriods,
-            watermark_,
+        durability::scrubWindowDigests(
+            config_.durability.walDir, configHash_, period,
+            config_.shards, config_.windowPeriods, watermark_,
             [this](std::uint64_t tenant, std::uint64_t p) {
                 std::uint64_t units = 0;
                 for (std::uint64_t sample :

@@ -60,12 +60,19 @@
  * tick republishes byte-identical signals. A torn tail is dropped at
  * the first bad checksum with a named diagnostic; damage to sealed
  * history is always an error. `--standby` keeps a second Replica in
- * lockstep by replaying sealed segments as they ship; the fault
- * plan's `primary-crash` site kills the primary at a deterministic
- * arrival tick and the standby finishes catch-up from disk and takes
- * over publishing with no missing period and zero divergence. A
- * periodic anti-entropy scrub re-derives the window digests from the
- * log and compares them to the live replica's.
+ * lockstep by replaying sealed segments as they ship: each sync reads
+ * the log from the standby's next record (durability::loadWalRange),
+ * so every sealed segment is decoded once, and the `.open` tail only
+ * on failover or the final drain. The fault plan's `primary-crash`
+ * site kills the primary at a deterministic arrival tick and the
+ * standby finishes catch-up from disk and takes over publishing with
+ * no missing period and zero divergence. A periodic anti-entropy
+ * scrub re-derives the window digests from the log and compares them
+ * to the live replica's; it reads only the records that can reach
+ * the window (the last windowPeriods + watermark + 1 periods) and
+ * derives them on the parallel pool. The scrub therefore verifies the
+ * segments it reads; `--recover` loads, and so verifies, all history.
+ * `durability.scrub_ns` and `durability.standby.sync_ns` time both.
  *
  * ## Degradation
  *

@@ -5,8 +5,10 @@
  * recovery edge cases (empty log, only-sealed vs sealed + unsealed
  * tail), replay cross-check divergence, hot-standby lockstep and
  * primary-crash failover with no missing period and zero divergence,
- * the anti-entropy scrub, shard-independent replay, and the SIGTERM
- * drain path. Process-kill (`kill -9`) variants of the same contracts
+ * the anti-entropy scrub, shard-independent replay, the SIGTERM
+ * drain path, and the range reads behind the scrub and the standby
+ * (differential against full-log derives, decode bound, verification
+ * scope). Process-kill (`kill -9`) variants of the same contracts
  * run through the CLI harnesses in tools/ (wal_kill_sweep.sh).
  */
 
@@ -16,9 +18,12 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/obs.hh"
+#include "common/parallel.hh"
 #include "durability/wal.hh"
 #include "resilience/faultplan.hh"
 #include "resilience/signals.hh"
@@ -424,6 +429,237 @@ TEST(Durability, SigtermDrainsSealsAndRecovers)
     recover.durability.walDir = config.durability.walDir;
     recover.durability.recover = true;
     expectSameSignal(runServer(recover), runServer(durableConfig()));
+}
+
+// ---- Range reads: scrub and standby --------------------------------
+
+/** What a scrub derives from, as the server binds it: the tenant's
+ *  materialized units for a period, summed. */
+std::function<std::uint64_t(std::uint64_t, std::uint64_t)>
+unitsOf(const TenantPopulation &population)
+{
+    return [&population](std::uint64_t tenant, std::uint64_t period) {
+        std::uint64_t units = 0;
+        for (std::uint64_t sample :
+             population.materializePeriod(tenant, period))
+            units += sample;
+        return units;
+    };
+}
+
+/**
+ * At every scrub point of @p config whose record is on its log, the
+ * scrub's range-read derive must equal deriveWindowDigests over the
+ * whole log cut after that record. Returns the points checked.
+ */
+std::size_t
+expectScrubReadsMatchFullLog(const ServerConfig &config)
+{
+    const SignalServer server(config); // for its tenant population
+    const auto units = unitsOf(server.population());
+    const std::string &dir = config.durability.walDir;
+    const std::uint64_t hash = serverConfigHash(config);
+    const std::uint64_t watermark = config.maxBatchPeriods + 1;
+    const auto full = durability::loadWal(dir, hash);
+    std::size_t checked = 0;
+    for (std::uint64_t p = config.durability.scrubPeriods;
+         p < full.records.size(); p += config.durability.scrubPeriods) {
+        const std::vector<durability::WalTickRecord> cut(
+            full.records.begin(),
+            full.records.begin() + static_cast<std::ptrdiff_t>(p + 1));
+        EXPECT_TRUE(durability::scrubWindowDigests(
+                        dir, hash, p, config.shards,
+                        config.windowPeriods, watermark, units) ==
+                    durability::deriveWindowDigests(
+                        cut, config.shards, config.windowPeriods,
+                        watermark, units))
+            << "scrub at period " << p;
+        ++checked;
+    }
+    return checked;
+}
+
+/** Flip every bit of the byte @p from_end bytes before the end of
+ *  @p path. */
+void
+flipByteFromEnd(const std::string &path, std::uintmax_t from_end)
+{
+    std::fstream file(path, std::ios::in | std::ios::out |
+                                std::ios::binary);
+    const auto offset =
+        static_cast<std::streamoff>(fs::file_size(path) - from_end);
+    file.seekg(offset);
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(~byte);
+    file.seekp(offset);
+    file.write(&byte, 1);
+}
+
+TEST(Durability, ScrubRangeReadsMatchOnUnevenSegments)
+{
+    // Halt mid-segment (9 records: 6 sealed + 3 in the tail), then a
+    // SIGTERM at the recovered run's first tick seals those 3 as a
+    // short segment, then a second recovery finishes the run: the
+    // log's segments hold 6, 3, 6, 6 records.
+    ServerConfig config = durableConfig();
+    config.durability.walDir = walDir("range_uneven");
+    config.durability.haltAtTick = 17;
+    runServer(config);
+
+    config.durability.haltAtTick = kNoTick;
+    config.durability.recover = true;
+    resilience::resetShutdownForTest();
+    resilience::installShutdownHandler();
+    std::raise(SIGTERM);
+    const ServerReport drained = runServer(config);
+    resilience::resetShutdownForTest();
+    ASSERT_TRUE(drained.interrupted);
+    const auto load = durability::loadWal(config.durability.walDir,
+                                          serverConfigHash(config));
+    ASSERT_EQ(load.records.size(), 9u);
+    ASSERT_EQ(load.sealedSegments, 2u);
+    ASSERT_EQ(load.tailRecords, 0u);
+
+    const ServerReport report = runServer(config);
+    expectSameSignal(report, runServer(durableConfig()));
+    EXPECT_GT(report.scrubRuns, 0u);
+    EXPECT_EQ(report.scrubMismatches, 0u);
+    EXPECT_EQ(expectScrubReadsMatchFullLog(config), 4u);
+}
+
+TEST(Durability, ScrubRangeReadsMatchWhileTheLogRunsAhead)
+{
+    // A log of 20 records (halted at period 19's arrival tick) runs
+    // ahead of a recovering loop through the scrubs at 5, 10 and 15.
+    ServerConfig config = durableConfig();
+    config.durability.walDir = walDir("range_ahead");
+    config.durability.haltAtTick = 38;
+    runServer(config);
+    EXPECT_EQ(expectScrubReadsMatchFullLog(config), 3u);
+
+    config.durability.haltAtTick = kNoTick;
+    config.durability.recover = true;
+    const ServerReport report = runServer(config);
+    EXPECT_EQ(report.replayedRecords, 20u);
+    expectSameSignal(report, runServer(durableConfig()));
+    const std::uint64_t horizon =
+        config.durationPeriods + config.maxBatchPeriods + 1;
+    EXPECT_EQ(report.scrubRuns,
+              (horizon - 1) / config.durability.scrubPeriods);
+    EXPECT_EQ(report.scrubMismatches, 0u);
+}
+
+TEST(Durability, FailoverCatchUpReadsANonEmptyTail)
+{
+    ServerConfig config = durableConfig();
+    config.durability.walDir = walDir("range_failover");
+    config.durability.standby = true;
+    config.faultPlan =
+        resilience::FaultPlan::parse("primary-crash=0.08");
+    const ServerReport report = runServer(config);
+    ASSERT_TRUE(report.failedOver);
+    // The crash fires before period P's append, so records 0..P-1
+    // are on disk and the tail holds P mod segment-capacity of them.
+    ASSERT_NE(report.failoverPeriod %
+                  config.durability.walSegmentRecords,
+              0u);
+    EXPECT_EQ(report.standbyReplayedRecords, report.failoverPeriod);
+    expectSameSignal(report, runServer(durableConfig()));
+    EXPECT_EQ(expectScrubReadsMatchFullLog(config), 4u);
+}
+
+TEST(Durability, StandbyReplaysEachRecordOnceAtThreeThreads)
+{
+    // Enough tenants that each scrub's derive spans several chunks
+    // of the parallel pool.
+    ServerConfig plain = durableConfig();
+    plain.tenants = 2000;
+    const ServerReport baseline = runServer(plain);
+    const std::size_t saved = parallel::threadCount();
+    parallel::setThreadCount(3);
+    ServerConfig config = plain;
+    config.durability.walDir = walDir("range_threads");
+    config.durability.standby = true;
+    const ServerReport report = runServer(config);
+    parallel::setThreadCount(saved);
+
+    EXPECT_EQ(report.standbyReplayedRecords, report.walRecords);
+    EXPECT_EQ(report.standbyPublishChecks, report.publishes);
+    EXPECT_EQ(report.scrubMismatches, 0u);
+    expectSameSignal(report, baseline);
+}
+
+TEST(Durability, ServeDurableShapeDecodesEachRecordAFewTimes)
+{
+    // The benchmark's durable shape with fewer tenants (the decode
+    // count does not depend on them): 400 periods, an LZ WAL of 16
+    // records per segment, a scrub every 8 periods, a hot standby.
+    ServerConfig config;
+    config.tenants = 300;
+    config.shards = 4;
+    config.zipfS = 1.1;
+    config.admissionRate = 0;
+    config.windowPeriods = 8;
+    config.periodSamples = 12;
+    config.durationPeriods = 400;
+    config.durability.walDir = walDir("range_decode_bound");
+    config.durability.walCodec = cache::Codec::Lz;
+    config.durability.walSegmentRecords = 16;
+    config.durability.scrubPeriods = 8;
+    config.durability.standby = true;
+    obs::resetForTest();
+    obs::setEnabled(true);
+    const ServerReport report = runServer(config);
+    const std::uint64_t decoded =
+        obs::counter("durability.wal.records_decoded").value();
+    obs::resetForTest();
+
+    ASSERT_GT(report.scrubRuns, 0u);
+    // The standby decodes every record once; each scrub adds its
+    // window's reach. A whole-log reload per scrub and per seal
+    // decodes about 40 times the log.
+    EXPECT_GE(decoded, report.walRecords);
+    EXPECT_LE(decoded, 4 * report.walRecords)
+        << decoded << " records decoded for " << report.walRecords;
+}
+
+TEST(Durability, ScrubVerifiesItsRangeAndRecoverVerifiesAllHistory)
+{
+    // A finished log: segments of 6 records, 21 records in all; the
+    // scrub at period 20 reads records 11-20 (segments 2-4).
+    ServerConfig config = durableConfig();
+    config.durability.walDir = walDir("range_scope");
+    runServer(config);
+    const std::string &dir = config.durability.walDir;
+    const std::uint64_t hash = serverConfigHash(config);
+    const std::uint64_t watermark = config.maxBatchPeriods + 1;
+    const SignalServer server(config);
+    const auto units = unitsOf(server.population());
+    const auto scrub = [&] {
+        return durability::scrubWindowDigests(
+            dir, hash, 20, config.shards, config.windowPeriods,
+            watermark, units);
+    };
+    const durability::WindowDigests clean = scrub();
+
+    // Damage to a segment the scrub reads raises from the scrub ...
+    const std::string copy = walDir("range_scope_copy");
+    fs::remove_all(copy);
+    fs::copy(dir, copy);
+    flipByteFromEnd(durability::segmentPath(dir, 3, true), 20);
+    EXPECT_THROW(scrub(), durability::WalIntegrityError);
+
+    // ... while damage to history already shipped is outside the
+    // scrub's range, and `--recover` (a full load) refuses it.
+    flipByteFromEnd(durability::segmentPath(copy, 1, true), 20);
+    EXPECT_TRUE(durability::scrubWindowDigests(
+                    copy, hash, 20, config.shards,
+                    config.windowPeriods, watermark, units) == clean);
+    ServerConfig recover = durableConfig();
+    recover.durability.walDir = copy;
+    recover.durability.recover = true;
+    EXPECT_THROW(runServer(recover), durability::WalIntegrityError);
 }
 
 // ---- Config validation ---------------------------------------------

@@ -10,14 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "cache/backend.hh"
+#include "common/obs.hh"
 #include "durability/wal.hh"
 
 namespace fairco2::durability
@@ -93,6 +96,48 @@ writeLog(const std::string &dir, std::size_t count,
     }
     if (seal_tail)
         writer.seal();
+    return records;
+}
+
+/** Flip every bit of the byte @p from_end bytes before the end of
+ *  @p path. */
+void
+flipByteFromEnd(const std::string &path, std::uintmax_t from_end)
+{
+    std::fstream file(path, std::ios::in | std::ios::out |
+                                std::ios::binary);
+    const auto offset =
+        static_cast<std::streamoff>(fs::file_size(path) - from_end);
+    file.seekg(offset);
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(~byte);
+    file.seekp(offset);
+    file.write(&byte, 1);
+}
+
+/**
+ * A log of uneven segments, as a drain followed by recovery leaves
+ * one: segment 1 is sealed short (records 0-1), segments 2 and 3 are
+ * full (2-5, 6-9), and the `.open` tail holds record 10.
+ */
+std::vector<WalTickRecord>
+writeUnevenLog(const std::string &dir,
+               cache::Codec codec = cache::Codec::Identity)
+{
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    options.codec = codec;
+    options.segmentRecords = 4;
+    WalWriter writer(options);
+    std::vector<WalTickRecord> records;
+    for (std::size_t i = 0; i < 11; ++i) {
+        records.push_back(makeRecord(i));
+        writer.append(records.back());
+        if (i == 1)
+            writer.seal();
+    }
     return records;
 }
 
@@ -242,7 +287,10 @@ TEST(WalLoad, FlippedSealedByteAlwaysThrows)
     file.close();
 
     EXPECT_THROW(loadWal(dir, kHash), WalIntegrityError);
-    EXPECT_THROW(loadSealedSegment(dir, 1, kHash),
+    // A range read of the damaged segment alone refuses it too.
+    WalRange first_segment;
+    first_segment.end = 4;
+    EXPECT_THROW(loadWalRange(dir, kHash, first_segment),
                  WalIntegrityError);
 }
 
@@ -269,6 +317,146 @@ TEST(WalLoad, TruncatedHeaderThrows)
                       std::ios::binary | std::ios::trunc);
     out << "FC";
     out.close();
+    EXPECT_THROW(loadWal(dir, kHash), WalIntegrityError);
+}
+
+TEST(WalWriter, FullDiskAppendFailsNamingTheSegment)
+{
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "needs /dev/full";
+    // The tail segment is a link to a device whose writes fail with
+    // ENOSPC: the group commit must fail loudly, not drop the tick.
+    const std::string dir = scratchDir("fulldisk");
+    const std::string tail = segmentPath(dir, 1, false);
+    fs::create_symlink("/dev/full", tail);
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    WalWriter writer(options);
+    try {
+        writer.append(makeRecord(0));
+        FAIL() << "an append to a full disk returned";
+    } catch (const WalIntegrityError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(tail), std::string::npos) << what;
+        EXPECT_NE(what.find(std::strerror(ENOSPC)), std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(writer.recordsAppended(), 0u);
+}
+
+TEST(WalWriter, FullDiskTailAdoptionFailsNamingTheSegment)
+{
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "needs /dev/full";
+    const std::string dir = scratchDir("fulldisk_adopt");
+    const std::string tmp = segmentPath(dir, 1, false) + ".tmp";
+    fs::create_symlink("/dev/full", tmp);
+    WalWriter::Options options;
+    options.dir = dir;
+    options.configHash = kHash;
+    WalWriter writer(options);
+    try {
+        writer.adoptTail({makeRecord(0), makeRecord(1)});
+        FAIL() << "adopting a tail on a full disk returned";
+    } catch (const WalIntegrityError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(tmp), std::string::npos) << what;
+        EXPECT_NE(what.find(std::strerror(ENOSPC)), std::string::npos)
+            << what;
+    }
+    // The failed rewrite never replaced the tail.
+    EXPECT_FALSE(fs::exists(segmentPath(dir, 1, false)));
+}
+
+TEST(WalRange, EveryRangeIsTheSliceOfTheFullLoad)
+{
+    const std::string dir = scratchDir("range_slices");
+    const auto records = writeUnevenLog(dir);
+    ASSERT_EQ(loadWal(dir, kHash).records, records);
+    const std::uint64_t sealed_end = 10;
+    const std::uint64_t n = records.size();
+    for (std::uint64_t first = 0; first <= n + 1; ++first) {
+        for (std::uint64_t end = first; end <= n + 2; ++end) {
+            for (bool tail : {true, false}) {
+                WalRange range;
+                range.first = first;
+                range.end = end == n + 2 ? range.end : end;
+                range.tail = tail;
+                const WalLoadResult load =
+                    loadWalRange(dir, kHash, range);
+                const std::uint64_t stop =
+                    std::min(end, tail ? n : sealed_end);
+                const std::vector<WalTickRecord> slice(
+                    records.begin() +
+                        static_cast<std::ptrdiff_t>(
+                            std::min(first, stop)),
+                    records.begin() +
+                        static_cast<std::ptrdiff_t>(stop));
+                EXPECT_EQ(load.records, slice)
+                    << "range [" << first << ", " << end
+                    << ") tail " << tail;
+                EXPECT_EQ(load.sealedSegments, 3u);
+                EXPECT_EQ(load.nextSegmentIndex, 4u);
+            }
+        }
+    }
+}
+
+TEST(WalRange, DecodesOnlyTheRangeRecords)
+{
+    const std::string dir = scratchDir("range_decoded");
+    writeUnevenLog(dir, cache::Codec::Lz);
+    obs::resetForTest();
+    obs::setEnabled(true);
+    obs::Counter &decoded =
+        obs::counter("durability.wal.records_decoded");
+    WalRange range;
+    range.first = 3;
+    range.end = 7;
+    EXPECT_EQ(loadWalRange(dir, kHash, range).records.size(), 4u);
+    EXPECT_EQ(decoded.value(), 4u);
+    EXPECT_EQ(loadWal(dir, kHash).records.size(), 11u);
+    EXPECT_EQ(decoded.value(), 4u + 11u);
+    obs::resetForTest();
+}
+
+TEST(WalRange, DamageIsSeenInsideTheRangeAndByAFullLoad)
+{
+    const std::string dir = scratchDir("range_damage");
+    const auto records = writeUnevenLog(dir);
+    flipByteFromEnd(segmentPath(dir, 2, true), 20); // records 2-5
+
+    // A range that starts past the damaged segment does not read it.
+    WalRange later;
+    later.first = 6;
+    const WalLoadResult load = loadWalRange(dir, kHash, later);
+    EXPECT_EQ(load.records,
+              std::vector<WalTickRecord>(records.begin() + 6,
+                                         records.end()));
+    // A range that reaches into it, and a full load, refuse it.
+    WalRange reaching;
+    reaching.first = 5;
+    EXPECT_THROW(loadWalRange(dir, kHash, reaching),
+                 WalIntegrityError);
+    EXPECT_THROW(loadWal(dir, kHash), WalIntegrityError);
+}
+
+TEST(WalRange, SegmentHeadersOutOfOrderAreRefusedByEveryRange)
+{
+    // Swapping two sealed segments keeps the file names contiguous,
+    // but their first-record headers now run backwards.
+    const std::string dir = scratchDir("range_order");
+    writeUnevenLog(dir);
+    const std::string two = segmentPath(dir, 2, true);
+    const std::string three = segmentPath(dir, 3, true);
+    fs::rename(two, two + ".swap");
+    fs::rename(three, two);
+    fs::rename(two + ".swap", three);
+    WalRange tail_only;
+    tail_only.first = 10;
+    EXPECT_THROW(loadWalRange(dir, kHash, tail_only),
+                 WalIntegrityError);
     EXPECT_THROW(loadWal(dir, kHash), WalIntegrityError);
 }
 

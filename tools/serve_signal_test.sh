@@ -15,9 +15,8 @@ mkdir -p "$work"
 cd "$work"
 
 # Sized so the run takes a couple of seconds: the signal always
-# lands mid-run, never after completion. Scrub is off — it reloads
-# the whole log each run and has its own coverage; this test is
-# about the drain.
+# lands mid-run, never after completion. Scrub is off — it has its
+# own coverage, and this test is about the drain.
 args=(serve --tenants 1000 --duration-periods 4000 --window 8
       --wal-segment-records 64 --scrub-periods 0)
 
